@@ -23,7 +23,6 @@
 pub mod compare;
 pub mod figures;
 pub mod harness;
-pub mod svg;
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

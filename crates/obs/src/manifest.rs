@@ -116,6 +116,10 @@ pub struct RunManifest {
     /// Heap allocations observed by the counting allocator, when a
     /// harness opted in (0 otherwise).
     pub allocations: u64,
+    /// Whether the process ever opened the allocation-counting gate, so
+    /// `allocations` is a measurement. False on manifests written before
+    /// the field existed.
+    pub allocations_counted: bool,
 }
 
 json_struct!(RunManifest {
@@ -127,7 +131,8 @@ json_struct!(RunManifest {
     metrics,
     provenance = default,
     peak_rss_bytes = default,
-    allocations = default
+    allocations = default,
+    allocations_counted = default
 });
 
 impl RunManifest {
@@ -147,6 +152,7 @@ impl RunManifest {
             provenance: Vec::new(),
             peak_rss_bytes: crate::memory::peak_rss_bytes(),
             allocations: crate::memory::allocations(),
+            allocations_counted: crate::memory::counting_was_enabled(),
         }
     }
 
@@ -239,6 +245,7 @@ mod tests {
         let mut m = sample();
         m.peak_rss_bytes = 123_456_789;
         m.allocations = 42;
+        m.allocations_counted = true;
         m.provenance.push(ProvenanceRecord {
             cell: 0,
             source: "data".into(),
@@ -262,7 +269,12 @@ mod tests {
         let mut m = sample();
         m.provenance.clear();
         let mut json = m.to_json();
-        for field in ["\"provenance\"", "\"peak_rss_bytes\"", "\"allocations\""] {
+        for field in [
+            "\"provenance\"",
+            "\"peak_rss_bytes\"",
+            "\"allocations\"",
+            "\"allocations_counted\"",
+        ] {
             assert!(json.contains(field));
         }
         // Strip the new fields out of the serialised form.
@@ -270,12 +282,18 @@ mod tests {
         let tdfm_json::Value::Object(mut map) = value else {
             panic!("manifest is an object")
         };
-        map.retain(|(k, _)| !matches!(k.as_str(), "provenance" | "peak_rss_bytes" | "allocations"));
+        map.retain(|(k, _)| {
+            !matches!(
+                k.as_str(),
+                "provenance" | "peak_rss_bytes" | "allocations" | "allocations_counted"
+            )
+        });
         json = tdfm_json::to_string(&tdfm_json::Value::Object(map));
         let back: RunManifest = tdfm_json::from_str(&json).unwrap();
         assert!(back.provenance.is_empty());
         assert_eq!(back.peak_rss_bytes, 0);
         assert_eq!(back.allocations, 0);
+        assert!(!back.allocations_counted);
         assert_eq!(back.cells, m.cells);
     }
 

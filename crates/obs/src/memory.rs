@@ -17,6 +17,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
+static EVER_COUNTED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// Records one heap allocation (or growing reallocation) if counting is
@@ -31,7 +32,17 @@ pub fn note_alloc() {
 /// Opens or closes the counting gate. Allocations only accumulate while
 /// the gate is open.
 pub fn set_counting(on: bool) {
+    if on {
+        EVER_COUNTED.store(true, Ordering::SeqCst);
+    }
     COUNTING.store(on, Ordering::SeqCst);
+}
+
+/// Whether the counting gate was ever opened in this process — i.e.
+/// whether [`allocations`] measured anything. A zero count without it
+/// means "not counted", not "allocation-free".
+pub fn counting_was_enabled() -> bool {
+    EVER_COUNTED.load(Ordering::SeqCst)
 }
 
 /// Allocations observed since the last [`reset_allocations`]. Zero when no
@@ -97,6 +108,7 @@ mod tests {
         set_counting(false);
         note_alloc();
         assert_eq!(allocations(), 2);
+        assert!(counting_was_enabled(), "opening the gate is remembered");
         reset_allocations();
         assert_eq!(allocations(), 0);
     }

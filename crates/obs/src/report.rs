@@ -124,12 +124,18 @@ fn render_manifest(out: &mut String, path: &Path, m: &RunManifest) {
             let _ = writeln!(out, "  {:<24} {:>10}", c.name, c.value);
         }
     }
-    if m.peak_rss_bytes > 0 || m.allocations > 0 {
+    if m.peak_rss_bytes > 0 || m.allocations > 0 || m.allocations_counted {
+        // A non-zero count proves a counter ran, even on manifests that
+        // predate `allocations_counted`.
+        let allocations = if m.allocations_counted || m.allocations > 0 {
+            format!("{} heap allocation(s) counted", m.allocations)
+        } else {
+            "allocations: not counted".to_string()
+        };
         let _ = writeln!(
             out,
-            "memory: peak RSS {:.1} MiB, {} heap allocation(s) counted",
+            "memory: peak RSS {:.1} MiB, {allocations}",
             m.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            m.allocations
         );
     }
     if !m.provenance.is_empty() {
@@ -348,6 +354,7 @@ mod tests {
         let mut m = RunManifest::new("prov", "tiny", 2);
         m.peak_rss_bytes = 64 * 1024 * 1024;
         m.allocations = 12;
+        m.allocations_counted = true;
         let record = |cell, kind: &str, bucket: &str, count, ad_mean| ProvenanceRecord {
             cell,
             source: "data".into(),
@@ -371,5 +378,34 @@ mod tests {
         let removal = report.find("Removal").unwrap();
         assert!(mislabel < removal, "damage-weighted order\n{report}");
         assert!(report.contains("idx 0-63"), "{report}");
+    }
+
+    #[test]
+    fn manifest_report_says_when_allocations_were_not_counted() {
+        use crate::manifest::RunManifest;
+        let mut m = RunManifest::new("uncounted", "tiny", 1);
+        m.peak_rss_bytes = 8 * 1024 * 1024;
+        m.allocations = 0;
+        m.allocations_counted = false;
+        let path = tmp("uncounted.manifest.json", &m.to_json());
+        let report = render_report(&[&path]).unwrap();
+        assert!(
+            report.contains("peak RSS 8.0 MiB, allocations: not counted"),
+            "{report}"
+        );
+        assert!(!report.contains("heap allocation"), "{report}");
+    }
+
+    #[test]
+    fn manifest_report_shows_a_counted_zero() {
+        use crate::manifest::RunManifest;
+        let mut m = RunManifest::new("counted-zero", "tiny", 1);
+        m.peak_rss_bytes = 8 * 1024 * 1024;
+        m.allocations = 0;
+        m.allocations_counted = true;
+        let path = tmp("counted-zero.manifest.json", &m.to_json());
+        let report = render_report(&[&path]).unwrap();
+        assert!(report.contains("0 heap allocation(s) counted"), "{report}");
+        assert!(!report.contains("not counted"), "{report}");
     }
 }

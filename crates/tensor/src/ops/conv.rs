@@ -5,18 +5,30 @@
 //! convolution. The batch dimension is processed on worker threads; the
 //! per-sample GEMMs are deliberately serial to avoid nested parallelism.
 //!
-//! All temporaries (im2col columns, packed GEMM panels, per-worker
-//! gradient accumulators) come from a [`Scratch`] arena, so steady-state
-//! training reuses the same buffers batch after batch. 1×1 stride-1
-//! unpadded convolutions skip im2col entirely — the column matrix would be
-//! an exact copy of the input.
+//! When the packed GEMM runs, the column matrix is never materialised:
+//! a *gather plan* built once per call maps every slot of the packed
+//! `NR`-wide `B` panels to the input element im2col would have put there
+//! (or to a zero for padding and panel tails), and each sample fills its
+//! panels in one pass straight from the input. The forward pass gathers
+//! `im2col`'s column matrix in [`pack_b`] layout; the weight gradient
+//! gathers its transpose in [`pack_bt`] layout. The same f32 values land
+//! in the same packed slots as im2col followed by the pack, so results
+//! are byte-identical to that two-pass route. The direct GEMM path (small
+//! products, see [`use_packed`]) still runs im2col, and the input
+//! gradient still folds back through [`col2im`].
+//!
+//! All temporaries (gather plans, im2col columns, packed GEMM panels,
+//! per-worker gradient accumulators) come from a [`Scratch`] arena, so
+//! steady-state training reuses the same buffers batch after batch. 1×1
+//! stride-1 unpadded convolutions skip im2col and the gather entirely —
+//! the column matrix would be an exact copy of the input.
 
 use super::gemm::{
     gemm_direct, gemm_direct_abt, gemm_direct_atb, gemm_packed_block, pack_b, pack_bt, packed_len,
-    transpose_into, use_packed,
+    transpose_into, use_packed, NR,
 };
 use crate::parallel::{parallel_chunks_mut, parallel_map_reduce};
-use crate::scratch::Scratch;
+use crate::scratch::{Scratch, ScratchBufU32};
 use crate::Tensor;
 use tdfm_obs::OpTimer;
 
@@ -241,6 +253,75 @@ fn group_gemm(
     }
 }
 
+/// Builds the gather plan for one group's packed column panels, in a
+/// buffer checked out of `scratch`.
+///
+/// The plan has one entry per slot of the packed `B` buffer, in
+/// [`pack_b`] layout. Without `transposed`, `B` is im2col's column
+/// matrix `[kdim, oh*ow]`; with it, `B` is that matrix's transpose
+/// `[oh*ow, kdim]` (the [`pack_bt`] operand of the weight gradient).
+/// Entry `e > 0` names group-input element `e - 1`; `0` marks a zero —
+/// spatial padding or a panel's tail columns. [`gather_panels`] reads
+/// the plan against a copy of the input with a `0.0` prepended, so the
+/// sentinel needs no branch.
+fn gather_plan<'a>(
+    d: &ConvDims,
+    spec: Conv2dSpec,
+    transposed: bool,
+    scratch: &'a Scratch,
+) -> ScratchBufU32<'a> {
+    let kdim = d.cg * d.kh * d.kw;
+    let ohow = d.oh * d.ow;
+    assert!(
+        d.cg * d.h * d.w < u32::MAX as usize,
+        "conv group input too large for a u32 gather plan"
+    );
+    // `B` is `[k, n]`; `B[p][j]` lives at `(j / NR) * k * NR + p * NR + j % NR`.
+    let (k, n) = if transposed {
+        (ohow, kdim)
+    } else {
+        (kdim, ohow)
+    };
+    let mut plan = scratch.take_u32(packed_len(k, n));
+    plan.fill(0);
+    // Walk im2col's column matrix: row `r = (c, ki, kj)`, column
+    // `j = (oi, oj)`. Coordinates left of or above the image wrap to huge
+    // values and fail the bound like those past the edge.
+    let mut r = 0;
+    for c in 0..d.cg {
+        for ki in 0..d.kh {
+            for kj in 0..d.kw {
+                let mut j = 0;
+                for oi in 0..d.oh {
+                    let ii = (oi * spec.stride + ki).wrapping_sub(spec.pad);
+                    for oj in 0..d.ow {
+                        let jj = (oj * spec.stride + kj).wrapping_sub(spec.pad);
+                        if ii < d.h && jj < d.w {
+                            let (p, col) = if transposed { (j, r) } else { (r, j) };
+                            plan[col / NR * k * NR + p * NR + col % NR] =
+                                (1 + (c * d.h + ii) * d.w + jj) as u32;
+                        }
+                        j += 1;
+                    }
+                }
+                r += 1;
+            }
+        }
+    }
+    plan
+}
+
+/// Fills packed GEMM panels from one group's input through a
+/// [`gather_plan`].
+///
+/// `xz` is a buffer of `input.len() + 1` floats: it receives `0.0`
+/// followed by the input, so plan entry `e` reads `xz[e]` directly.
+fn gather_panels(plan: &[u32], input: &[f32], xz: &mut [f32], packed: &mut [f32]) {
+    xz[0] = 0.0;
+    xz[1..].copy_from_slice(input);
+    crate::simd::gather(xz, plan, packed);
+}
+
 struct ConvDims {
     n: usize,
     c: usize,
@@ -354,17 +435,28 @@ pub fn conv2d_forward_with(
     let kdim = d.cg * d.kh * d.kw;
     let sample_in = d.c * d.h * d.w;
     let sample_out = d.o * d.oh * d.ow;
+    let group_in = d.cg * d.h * d.w;
+    let ohow = d.oh * d.ow;
     let pointwise = spec.is_pointwise(d.kh, d.kw);
+    let plan =
+        (!pointwise && use_packed(d.og, kdim, ohow)).then(|| gather_plan(&d, spec, false, scratch));
+    let plan = plan.as_deref();
     let work = kdim; // MACs per output element
     parallel_chunks_mut(out.data_mut(), sample_out, work, |s, y| {
         let xin = &x[s * sample_in..(s + 1) * sample_in];
-        let mut col = if pointwise {
-            None // im2col would be an exact copy of the input
-        } else {
-            Some(scratch.take(kdim * d.oh * d.ow))
-        };
+        // Gathered panels, or else im2col columns unless pointwise (where
+        // im2col would be an exact copy of the input).
+        let mut gather_bufs = plan.map(|p| (scratch.take(group_in + 1), scratch.take(p.len())));
+        let mut col = (!pointwise && plan.is_none()).then(|| scratch.take(kdim * ohow));
         for g in 0..spec.groups {
-            let xin_g = &xin[g * d.cg * d.h * d.w..(g + 1) * d.cg * d.h * d.w];
+            let xin_g = &xin[g * group_in..(g + 1) * group_in];
+            let w_g = &wt[g * d.og * kdim..(g + 1) * d.og * kdim];
+            let y_g = &mut y[g * d.og * ohow..(g + 1) * d.og * ohow];
+            if let (Some(plan), Some((xz, packed))) = (plan, gather_bufs.as_mut()) {
+                gather_panels(plan, xin_g, xz, packed);
+                gemm_packed_block(w_g, d.og, kdim, ohow, packed, y_g, false);
+                continue;
+            }
             let cols: &[f32] = match col.as_mut() {
                 None => xin_g,
                 Some(col) => {
@@ -379,9 +471,7 @@ pub fn conv2d_forward_with(
                     col
                 }
             };
-            let w_g = &wt[g * d.og * kdim..(g + 1) * d.og * kdim];
-            let y_g = &mut y[g * d.og * d.oh * d.ow..(g + 1) * d.og * d.oh * d.ow];
-            group_gemm(w_g, d.og, kdim, d.oh * d.ow, cols, y_g, false, scratch);
+            group_gemm(w_g, d.og, kdim, ohow, cols, y_g, false, scratch);
         }
         if let Some(b) = bias {
             let bd = b.data();
@@ -500,6 +590,9 @@ pub fn conv2d_backward_with(
     // pooled tensors at the end (both sides of the copy reuse warm arena
     // buffers, so steady state stays allocation-free).
     let weight_packed = use_packed(d.og, ohow, kdim);
+    let group_in = d.cg * d.h * d.w;
+    let plan = (!pointwise && weight_packed).then(|| gather_plan(&d, spec, true, scratch));
+    let plan = plan.as_deref();
     let per_sample_work = d.o * ohow * kdim;
     let reduced = parallel_map_reduce(
         d.n,
@@ -507,16 +600,21 @@ pub fn conv2d_backward_with(
         |range| {
             let mut gw = scratch.take_zeroed(d.o * kdim);
             let mut gb = scratch.take_zeroed(d.o);
-            let mut col = if pointwise {
-                None
-            } else {
-                Some(scratch.take(kdim * ohow))
-            };
+            let mut gather_bufs = plan.map(|p| (scratch.take(group_in + 1), scratch.take(p.len())));
+            let mut col = (!pointwise && plan.is_none()).then(|| scratch.take(kdim * ohow));
             for s in range {
                 let xin = &x[s * sample_in..(s + 1) * sample_in];
                 let gys = &gy[s * sample_out..(s + 1) * sample_out];
                 for g in 0..spec.groups {
-                    let xin_g = &xin[g * d.cg * d.h * d.w..(g + 1) * d.cg * d.h * d.w];
+                    let xin_g = &xin[g * group_in..(g + 1) * group_in];
+                    let gy_g = &gys[g * d.og * ohow..(g + 1) * d.og * ohow];
+                    let gw_g = &mut gw[g * d.og * kdim..(g + 1) * d.og * kdim];
+                    // gw_g[og, kdim] += gy_g[og, ohow] · colsᵀ[ohow, kdim]
+                    if let (Some(plan), Some((xz, packed))) = (plan, gather_bufs.as_mut()) {
+                        gather_panels(plan, xin_g, xz, packed);
+                        gemm_packed_block(gy_g, d.og, ohow, kdim, packed, gw_g, true);
+                        continue;
+                    }
                     let cols: &[f32] = match col.as_mut() {
                         None => xin_g,
                         Some(col) => {
@@ -531,9 +629,6 @@ pub fn conv2d_backward_with(
                             col
                         }
                     };
-                    let gy_g = &gys[g * d.og * ohow..(g + 1) * d.og * ohow];
-                    let gw_g = &mut gw[g * d.og * kdim..(g + 1) * d.og * kdim];
-                    // gw_g[og, kdim] += gy_g[og, ohow] · colsᵀ[ohow, kdim]
                     if weight_packed {
                         let mut packed = scratch.take(packed_len(ohow, kdim));
                         pack_bt(cols, kdim, ohow, &mut packed);

@@ -16,7 +16,8 @@
 //!   im2col columns and packed GEMM panels never straddle a cache line;
 //! * [`Tensor`] checkouts ([`Scratch::tensor_uninit`]) reuse plain
 //!   `Vec<f32>` buffers (tensors are `Vec`-backed);
-//! * `u32` checkouts ([`Scratch::take_u32`]) serve max-pool argmax caches.
+//! * `u32` checkouts ([`Scratch::take_u32`]) serve max-pool argmax caches
+//!   and convolution gather plans.
 //!
 //! # Ownership rules
 //!
@@ -223,11 +224,12 @@ impl Scratch {
     }
 
     /// Checks out a `u32` buffer of exactly `len` elements (max-pool
-    /// argmax caches). Contents are unspecified.
+    /// argmax caches, convolution gather plans). Contents are unspecified.
     pub fn take_u32(&self, len: usize) -> ScratchBufU32<'_> {
         let picked = {
             let mut pool = self.u32_pool.lock().expect("scratch pool poisoned");
-            pool.pop()
+            // tdfm-lint: allow(lock-held-across-call, best_fit only scans the locked pool itself; it takes no lock and cannot block)
+            best_fit(&mut pool, len, |b: &Vec<u32>| b.capacity())
         };
         let buf = match picked {
             Some(mut buf) => {

@@ -320,6 +320,44 @@ fn relu_backward_scalar(g: &[f32], mask: &[u32], out: &mut [f32]) {
     }
 }
 
+/// Indexed load: `out[i] = src[idx[i]]`, for filling packed GEMM panels
+/// from a precomputed gather plan.
+///
+/// An index past the end reads the last element of `src` rather than
+/// panicking: the clamp is what keeps the AVX2 hardware gather in bounds
+/// without trusting the plan. Callers pass in-range indices (checked in
+/// debug builds). Values are copied bit for bit, NaN payloads included,
+/// on every level; SSE2 has no gather instruction and runs the scalar
+/// loop.
+///
+/// # Panics
+///
+/// Panics if `src` is empty while `idx` is not, or if `src` has more
+/// than `i32::MAX` elements.
+pub fn gather(src: &[f32], idx: &[u32], out: &mut [f32]) {
+    debug_assert_eq!(idx.len(), out.len());
+    debug_assert!(idx.iter().all(|&i| (i as usize) < src.len()));
+    if idx.is_empty() {
+        return;
+    }
+    assert!(!src.is_empty(), "gather from an empty source");
+    assert!(src.len() <= i32::MAX as usize, "gather source too long");
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: simd_level() returns Avx2 only when AVX2 was detected;
+        // src is non-empty and its indices fit an i32 (asserted above).
+        SimdLevel::Avx2 => unsafe { x86::gather_avx2(src, idx, out) },
+        _ => gather_scalar(src, idx, out),
+    }
+}
+
+fn gather_scalar(src: &[f32], idx: &[u32], out: &mut [f32]) {
+    let last = src.len() - 1;
+    for (o, &i) in out.iter_mut().zip(idx) {
+        *o = src[(i as usize).min(last)];
+    }
+}
+
 /// The x86-64 vector bodies. Every function replicates its scalar
 /// counterpart lane-wise with unaligned loads/stores (the Scratch arena
 /// hands out 32-byte-aligned buffers, which makes these loads fast, but
@@ -585,6 +623,29 @@ mod x86 {
         super::relu_forward_scalar(&x[i..], &mut out[i..], &mut mask[i..]);
     }
 
+    /// SAFETY: callers must ensure AVX2 is supported by the executing CPU,
+    /// `src` is non-empty and `src.len() <= i32::MAX`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gather_avx2(src: &[f32], idx: &[u32], out: &mut [f32]) {
+        let n = idx.len().min(out.len());
+        let last = _mm256_set1_epi32((src.len() - 1) as i32);
+        let mut i = 0;
+        while i + 8 <= n {
+            // SAFETY: i + 8 <= n <= idx.len(), out.len(), so the 8-lane
+            // index load and the store stay inside their slices. Every
+            // lane is clamped to src.len() - 1 (unsigned min, and the
+            // bound fits an i32), so each gathered 4-byte read lies
+            // inside src.
+            unsafe {
+                let lanes = _mm256_loadu_si256(idx.as_ptr().add(i) as *const __m256i);
+                let lanes = _mm256_min_epu32(lanes, last);
+                st256(out, i, _mm256_i32gather_ps::<4>(src.as_ptr(), lanes));
+            }
+            i += 8;
+        }
+        super::gather_scalar(src, &idx[i..n], &mut out[i..n]);
+    }
+
     /// SAFETY: callers must ensure AVX2 is supported by the executing CPU.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn relu_backward_avx2(g: &[f32], mask: &[u32], out: &mut [f32]) {
@@ -665,7 +726,17 @@ mod tests {
                 relu_forward(&x, &mut relu_out, &mut mask);
                 let mut back = vec![0.0; len];
                 relu_backward(&g, &mask, &mut back);
-                let got = vec![bits(&y), bits(&s), bits(&v), bits(&relu_out), bits(&back)];
+                let idx: Vec<u32> = (0..len as u32).map(|i| (i * 7 + 3) % len as u32).collect();
+                let mut gathered = vec![0.0; len];
+                gather(&x, &idx, &mut gathered);
+                let got = vec![
+                    bits(&y),
+                    bits(&s),
+                    bits(&v),
+                    bits(&relu_out),
+                    bits(&back),
+                    bits(&gathered),
+                ];
                 match &want {
                     None => want = Some(got),
                     Some(w0) => assert_eq!(w0, &got, "len {len} level {level:?}"),
@@ -709,6 +780,31 @@ mod tests {
             // NaN compares false: masked out of the backward pass.
             assert_eq!(mask[0], 0, "{level:?}");
             assert_eq!(mask[4], !0, "{level:?}");
+        }
+        force_simd(None);
+    }
+
+    #[test]
+    fn gather_copies_bits_and_clamps_on_every_level() {
+        let _guard = forced_lock();
+        let payload = f32::from_bits(0x7fa0_0001); // a NaN with a payload
+        let src = [1.5, -0.0, payload, f32::NEG_INFINITY];
+        let idx: Vec<u32> = (0..19).map(|i| [2, 1, 3, 0, 99][i % 5]).collect();
+        for level in available_levels() {
+            force_simd(Some(level));
+            let mut out = vec![0.0; idx.len()];
+            if cfg!(debug_assertions) {
+                // Out-of-range indices trip the debug check; release
+                // builds clamp them to the last element instead.
+                let in_range: Vec<u32> = idx.iter().map(|&i| i.min(3)).collect();
+                gather(&src, &in_range, &mut out);
+            } else {
+                gather(&src, &idx, &mut out);
+            }
+            for (o, &i) in out.iter().zip(&idx) {
+                let want = src[(i as usize).min(src.len() - 1)];
+                assert_eq!(o.to_bits(), want.to_bits(), "{level:?} index {i}");
+            }
         }
         force_simd(None);
     }

@@ -177,4 +177,19 @@ for threads in 1 4; do
     done
 done
 
+echo "== campaign benchmark: own tests + seed-0 digest pass per workload =="
+# campaign_bench is a package of its own (BENCHMARK.json), so the
+# workspace suite above never builds it. Its seed-0 runs hash every result
+# cell and must match campaign_bench/reference.json, so a kernel change
+# that breaks byte-identity fails here rather than only in the benchmark
+# pipeline. `--seconds 1` runs the minimum number of campaigns; the exit
+# status is non-zero unless the correctness gate passes.
+cargo test -q --release --offline --manifest-path campaign_bench/Cargo.toml
+for workload in datafault_grid seu_exhaustive sharded_byzantine; do
+    cargo run -q --release --offline --locked \
+        --manifest-path campaign_bench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 \
+        > "$smoke_dir/campaign-$workload.txt"
+done
+
 echo "CI gate passed."
