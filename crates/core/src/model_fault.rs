@@ -17,22 +17,25 @@
 
 use crate::experiment::run_indexed;
 use crate::metrics::{accuracy, accuracy_delta, ConfidenceInterval};
-use crate::technique::{FittedModel, TechniqueKind, TrainContext};
+use crate::technique::{FittedModel, TechniqueKind, TrainContext, EVAL_BATCH};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tdfm_data::{DatasetKind, LabeledDataset, Scale};
 use tdfm_inject::model::{
-    apply_weight_faults, counting_activation_hook, FaultSite, InjectionMode, ModelFaultPlan,
-    TensorSelector,
+    apply_weight_faults, counting_activation_hook, FaultInstance, FaultSite, InjectionMode,
+    ModelFaultPlan, TensorSelector,
 };
 use tdfm_inject::provenance::weight_provenance;
 use tdfm_inject::{split_clean, ProvenanceBuilder};
 use tdfm_json::json_struct;
 use tdfm_nn::models::ModelKind;
+use tdfm_nn::{Network, Replay};
 use tdfm_obs::{event, Level, ManifestCell, ProvenanceRecord, RunManifest};
+use tdfm_tensor::ops::argmax_rows;
 use tdfm_tensor::parallel::num_threads;
+use tdfm_tensor::Tensor;
 
 /// A model-fault sweep: every listed technique scored against every
 /// listed fault plan, sharing one fit per (technique, repetition).
@@ -149,6 +152,53 @@ pub struct ModelFaultRunner {
     /// repetitions. [`ModelFaultRunner::manifest`] joins it with each
     /// cell's AD.
     provenance: Mutex<BTreeMap<String, ProvenanceBuilder>>,
+}
+
+/// Trials scored by a full forward pass (the `trials.*` and
+/// `trial_seconds.*` metrics name the path).
+const PATH_FULL: &str = "full";
+
+/// The scoring path a replay takes.
+fn replay_path(replay: Replay) -> &'static str {
+    match replay {
+        Replay::Channel { .. } => "channel_sparse",
+        Replay::Suffix { layer: 0 } => PATH_FULL,
+        Replay::Suffix { .. } => "suffix_replay",
+    }
+}
+
+/// Where each weight-fault instance's evaluation can start.
+///
+/// A single flip lands in one top-level layer (found through
+/// [`Network::layer_param_counts`]) and one output channel: parameter
+/// tensors of channel-computing layers lead with the output channel, so a
+/// conv weight element `e` feeds channel `e / (C/groups·KH·KW)` and a bias
+/// element `e` channel `e`. Several flips replay from the earliest layer
+/// they touch.
+pub fn weight_replays(net: &mut Network, instances: &[FaultInstance]) -> Vec<Replay> {
+    let layer_of: Vec<usize> = net
+        .layer_param_counts()
+        .into_iter()
+        .enumerate()
+        .flat_map(|(layer, count)| std::iter::repeat_n(layer, count))
+        .collect();
+    let per_channel: Vec<usize> = net
+        .params_mut()
+        .iter()
+        .map(|p| p.numel() / p.value.shape().dim(0))
+        .collect();
+    instances
+        .iter()
+        .map(|instance| match instance.flips.as_slice() {
+            [flip] => net.replay_for(
+                layer_of[flip.tensor],
+                flip.element / per_channel[flip.tensor],
+            ),
+            flips => Replay::Suffix {
+                layer: flips.iter().map(|f| layer_of[f.tensor]).min().unwrap_or(0),
+            },
+        })
+        .collect()
 }
 
 /// The provenance-map key of a (technique, plan) cell.
@@ -303,6 +353,19 @@ impl ModelFaultRunner {
             .collect()
     }
 
+    /// Counts `trials` fault trials scored on `path` by one evaluation
+    /// (as `weight_trials`/`activation_trials` count them: one per member
+    /// instance of a stochastic weight plan) and records how long the
+    /// evaluation took.
+    fn trial_scored(&self, path: &str, trials: usize, started: Instant) {
+        self.metrics
+            .counter(&format!("trials.{path}"))
+            .add(trials as u64);
+        self.metrics
+            .histogram(&format!("trial_seconds.{path}"))
+            .record(started.elapsed());
+    }
+
     /// Scores a weight plan: apply flips, predict, undo via XOR.
     ///
     /// Stochastic plans inject one independently-drawn fault set into
@@ -330,16 +393,29 @@ impl ModelFaultRunner {
                 let mut acc_sum = 0.0f64;
                 let mut ad_sum = 0.0f64;
                 let mut made_nonfinite = 0usize;
-                for instance in &instances {
-                    let report = apply_weight_faults(fitted.networks_mut()[0], instance);
-                    made_nonfinite += report.made_nonfinite;
-                    let preds = fitted.predict(test.images());
-                    apply_weight_faults(fitted.networks_mut()[0], instance);
+                // The one network's argmax is the prediction (a
+                // one-member ensemble votes exactly that).
+                let net = fitted.networks_mut().swap_remove(0);
+                let replays = weight_replays(net, &instances);
+                let cache = net.prefix_cache(test.images(), EVAL_BATCH, &replays);
+                self.metrics
+                    .counter("prefix_cache_peak_bytes")
+                    .raise_to(cache.bytes() as u64);
+                let mut logits = Tensor::zeros(&[test.len(), net.classes()]);
+                for (instance, &replay) in instances.iter().zip(&replays) {
+                    let started = Instant::now();
+                    made_nonfinite += apply_weight_faults(net, instance).made_nonfinite;
+                    net.replay_logits(test.images(), &cache, replay, &mut logits);
+                    apply_weight_faults(net, instance);
+                    let preds = argmax_rows(&logits);
                     acc_sum += accuracy(&preds, test.labels()) as f64;
                     ad_sum += accuracy_delta(clean_preds, &preds, test.labels()) as f64;
-                    self.metrics.counter("weight_trials").inc();
+                    self.trial_scored(replay_path(replay), 1, started);
                 }
                 let k = instances.len() as f64;
+                self.metrics
+                    .counter("weight_trials")
+                    .add(instances.len() as u64);
                 ModelFaultRepetition {
                     clean_accuracy,
                     faulty_accuracy: (acc_sum / k) as f32,
@@ -348,6 +424,9 @@ impl ModelFaultRunner {
                 }
             }
             InjectionMode::Stochastic { seed, .. } => {
+                // One trial per plan: a prefix cache would cost the full
+                // forward it saves, so the trial runs the full forward.
+                let started = Instant::now();
                 let mut made_nonfinite = 0usize;
                 let mut applied = Vec::new();
                 for (m, net) in fitted.networks_mut().into_iter().enumerate() {
@@ -365,6 +444,7 @@ impl ModelFaultRunner {
                     apply_weight_faults(net, instance);
                 }
                 prov.extend(&weight_provenance(&applied));
+                self.trial_scored(PATH_FULL, applied.len(), started);
                 ModelFaultRepetition {
                     clean_accuracy,
                     faulty_accuracy: accuracy(&preds, test.labels()),
@@ -393,6 +473,7 @@ impl ModelFaultRunner {
         let InjectionMode::Stochastic { seed, .. } = plan.mode else {
             panic!("activation fault spaces depend on the data; use stochastic mode")
         };
+        let started = Instant::now();
         let fired = Arc::new(AtomicU64::new(0));
         for (m, net) in fitted.networks_mut().into_iter().enumerate() {
             let member_plan = plan
@@ -418,6 +499,7 @@ impl ModelFaultRunner {
             fired.load(Ordering::Relaxed),
         );
         self.metrics.counter("activation_trials").inc();
+        self.trial_scored(PATH_FULL, 1, started);
         ModelFaultRepetition {
             clean_accuracy,
             faulty_accuracy: accuracy(&preds, test.labels()),
@@ -610,6 +692,51 @@ mod tests {
         let trials = runner.metrics_snapshot().counter("weight_trials");
         assert!(trials.unwrap_or(0) > 0, "no trials recorded");
         assert!((0.0..=1.0).contains(&results[0].faulty_accuracy.mean));
+    }
+
+    #[test]
+    fn trials_are_counted_by_scoring_path() {
+        let runner = ModelFaultRunner::new();
+        let exhaustive = |tensor: usize| {
+            ModelFaultPlan::weights()
+                .select(TensorSelector::Params(vec![tensor]))
+                .bits(BitRange::new(31, 31))
+                .mode(InjectionMode::Exhaustive)
+        };
+        // Conv0 bias (channel-sparse), the classifier bias (suffix), and
+        // two one-trial plans scored by the full forward.
+        let plans = vec![
+            exhaustive(1),
+            exhaustive(11),
+            low_mantissa_weights(),
+            ModelFaultPlan::activations().mode(InjectionMode::Stochastic { flips: 1, seed: 7 }),
+        ];
+        let mut sweep = tiny_sweep(vec![TechniqueKind::Baseline], plans);
+        sweep.repetitions = 1;
+        runner.run_sweep(&sweep);
+        let m = runner.metrics_snapshot();
+        let count = |name: &str| m.counter(name).unwrap_or(0);
+        let (channel, suffix, full) = (
+            count("trials.channel_sparse"),
+            count("trials.suffix_replay"),
+            count("trials.full"),
+        );
+        assert!(channel > 0 && suffix > 0, "{channel} {suffix}");
+        assert_eq!(full, 2);
+        assert_eq!(
+            channel + suffix + full,
+            count("weight_trials") + count("activation_trials")
+        );
+        for (path, n) in [
+            ("channel_sparse", channel),
+            ("suffix_replay", suffix),
+            ("full", full),
+        ] {
+            let name = format!("trial_seconds.{path}");
+            let h = m.histograms.iter().find(|h| h.name == name).expect("timed");
+            assert_eq!(h.count, n, "{path}");
+        }
+        assert!(count("prefix_cache_peak_bytes") > 0);
     }
 
     #[test]

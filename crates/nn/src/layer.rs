@@ -42,6 +42,22 @@ impl Param {
     }
 }
 
+/// How a layer's output channels can be computed one at a time — the seam
+/// channel-sparse fault replay uses (see [`crate::replay`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Channels {
+    /// Not addressable per channel (the default): the layer mixes
+    /// channels into features, changes layout, or nests other layers.
+    Opaque,
+    /// Output channel `c` is computed from the whole input (convolution).
+    /// Every parameter tensor's leading dimension is the output channel,
+    /// so a parameter element feeds exactly one output channel.
+    Mixed,
+    /// Output channel `c` depends on input channel `c` alone (ReLU,
+    /// pooling, evaluation-mode batch norm and dropout).
+    Local,
+}
+
 /// A differentiable network component.
 ///
 /// Layers own their parameters and the activation caches backpropagation
@@ -77,6 +93,26 @@ pub trait Layer: Send {
     /// ensemble member). Container layers must forward the call to their
     /// children.
     fn bind_scratch(&mut self, _scratch: &ScratchHandle) {}
+
+    /// How this layer's output channels can be computed one at a time.
+    fn channels(&self) -> Channels {
+        Channels::Opaque
+    }
+
+    /// Evaluation-mode output channel `channel` alone, as `[N, 1, OH, OW]`:
+    /// bit for bit what [`Layer::forward`] in [`Mode::Eval`] writes into
+    /// that channel. `input` is the whole input for a [`Channels::Mixed`]
+    /// layer and input channel `channel` alone (`[N, 1, H, W]`) for a
+    /// [`Channels::Local`] one. Leaves backward caches as they were.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: only layers whose [`Layer::channels`] is not
+    /// [`Channels::Opaque`] implement it.
+    fn forward_channel(&mut self, input: &Tensor, channel: usize) -> Tensor {
+        let _ = (input, channel);
+        panic!("{} is not channel-addressable", self.name())
+    }
 
     /// Short human-readable layer name for summaries.
     fn name(&self) -> &'static str;

@@ -1,6 +1,6 @@
 //! Activation functions.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Channels, Layer, Mode};
 use tdfm_tensor::{simd, Scratch, ScratchHandle, Tensor};
 
 /// Rectified linear unit: `y = max(0, x)`.
@@ -54,6 +54,18 @@ impl Layer for ReLU {
         );
         let mut out = self.scratch.tensor_uninit(grad_output.shape().dims());
         simd::relu_backward(grad_output.data(), &self.mask, out.data_mut());
+        out
+    }
+
+    fn channels(&self) -> Channels {
+        Channels::Local
+    }
+
+    fn forward_channel(&mut self, input: &Tensor, _channel: usize) -> Tensor {
+        // A scratch mask, so the backward mask stays as it was.
+        let mut mask = self.scratch.take_u32(input.numel());
+        let mut out = self.scratch.tensor_uninit(input.shape().dims());
+        simd::relu_forward(input.data(), out.data_mut(), &mut mask);
         out
     }
 

@@ -1,6 +1,6 @@
 //! Batch normalisation over channels of NCHW tensors.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Channels, Layer, Mode, Param};
 use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 
 /// 2-D batch normalisation: normalises each channel over the batch and
@@ -202,6 +202,26 @@ impl Layer for BatchNorm2d {
             self.running_mean.as_mut_slice(),
             self.running_var.as_mut_slice(),
         ]
+    }
+
+    fn channels(&self) -> Channels {
+        Channels::Local
+    }
+
+    fn forward_channel(&mut self, input: &Tensor, channel: usize) -> Tensor {
+        // The Eval branch of `forward` for one channel, expression for
+        // expression.
+        let m = self.running_mean[channel];
+        let is = 1.0 / (self.running_var[channel] + self.eps).sqrt();
+        let (gc, bc) = (
+            self.gamma.value.data()[channel],
+            self.beta.value.data()[channel],
+        );
+        let mut out = self.scratch.tensor_uninit(input.shape().dims());
+        for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
+            *o = gc * ((x - m) * is) + bc;
+        }
+        out
     }
 
     fn bind_scratch(&mut self, scratch: &ScratchHandle) {

@@ -1,7 +1,9 @@
 //! Convolution layer wrapping the `tdfm-tensor` conv kernels.
 
-use crate::layer::{Layer, Mode, Param};
-use tdfm_tensor::ops::{conv2d_backward_with, conv2d_forward_with, Conv2dSpec};
+use crate::layer::{Channels, Layer, Mode, Param};
+use tdfm_tensor::ops::{
+    conv2d_backward_with, conv2d_channel_with, conv2d_forward_with, Conv2dSpec,
+};
 use tdfm_tensor::rng::Rng;
 use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 
@@ -115,6 +117,21 @@ impl Layer for Conv2d {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
+    }
+
+    fn channels(&self) -> Channels {
+        Channels::Mixed
+    }
+
+    fn forward_channel(&mut self, input: &Tensor, channel: usize) -> Tensor {
+        conv2d_channel_with(
+            input,
+            &self.weight.value,
+            Some(&self.bias.value),
+            self.spec,
+            channel,
+            &self.scratch,
+        )
     }
 
     fn bind_scratch(&mut self, scratch: &ScratchHandle) {

@@ -1,6 +1,6 @@
 //! Inverted dropout.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Channels, Layer, Mode};
 use tdfm_tensor::rng::Rng;
 use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 
@@ -99,6 +99,14 @@ impl Layer for Dropout {
             *o = g * m;
         }
         out
+    }
+
+    fn channels(&self) -> Channels {
+        Channels::Local
+    }
+
+    fn forward_channel(&mut self, input: &Tensor, _channel: usize) -> Tensor {
+        self.copy_out(input)
     }
 
     fn bind_scratch(&mut self, scratch: &ScratchHandle) {

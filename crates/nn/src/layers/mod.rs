@@ -18,4 +18,4 @@ pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 pub use residual::ResidualBlock;
-pub use sequential::Sequential;
+pub use sequential::{ForwardHook, Sequential};

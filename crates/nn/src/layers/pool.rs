@@ -1,6 +1,6 @@
 //! Pooling layers wrapping the `tdfm-tensor` kernels.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Channels, Layer, Mode};
 use tdfm_tensor::ops::{
     avg_pool2d_backward_with, avg_pool2d_forward_with, global_avg_pool_backward_with,
     global_avg_pool_forward_with, max_pool2d_backward_with, max_pool2d_forward_with, MaxPoolCache,
@@ -53,6 +53,16 @@ impl Layer for MaxPool2d {
         max_pool2d_backward_with(grad_output, cache, &self.scratch)
     }
 
+    fn channels(&self) -> Channels {
+        Channels::Local
+    }
+
+    fn forward_channel(&mut self, input: &Tensor, _channel: usize) -> Tensor {
+        let (out, cache) = max_pool2d_forward_with(input, self.k, self.s, &self.scratch);
+        cache.recycle(&self.scratch);
+        out
+    }
+
     fn bind_scratch(&mut self, scratch: &ScratchHandle) {
         self.scratch = scratch.clone();
     }
@@ -98,6 +108,14 @@ impl Layer for AvgPool2d {
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         assert!(!self.input_dims.is_empty(), "forward before backward");
         avg_pool2d_backward_with(grad_output, &self.input_dims, self.k, self.s, &self.scratch)
+    }
+
+    fn channels(&self) -> Channels {
+        Channels::Local
+    }
+
+    fn forward_channel(&mut self, input: &Tensor, _channel: usize) -> Tensor {
+        avg_pool2d_forward_with(input, self.k, self.s, &self.scratch)
     }
 
     fn bind_scratch(&mut self, scratch: &ScratchHandle) {

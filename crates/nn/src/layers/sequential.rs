@@ -1,7 +1,12 @@
 //! Ordered composition of layers.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Channels, Layer, Mode, Param};
+use crate::replay::Replay;
 use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
+
+/// What [`Sequential::forward_from`] calls after each top-level layer:
+/// the layer's position, its name, and its output.
+pub type ForwardHook<'a> = &'a mut dyn FnMut(usize, &'static str, &mut Tensor);
 
 /// A straight-line stack of layers applied in order.
 ///
@@ -70,8 +75,10 @@ impl Sequential {
             .collect()
     }
 
-    /// [`Layer::forward`] with a hook invoked after each directly
-    /// contained layer produces its output.
+    /// Runs layers `start..` on `input` (the activation entering layer
+    /// `start`), optionally with a hook invoked after each layer produces
+    /// its output. `forward_from(0, ..)` is the whole forward pass;
+    /// replaying a fault starts later, from a cached clean activation.
     ///
     /// The hook receives the layer's position, its name, and mutable
     /// access to the activation tensor — the seam activation-fault
@@ -84,23 +91,108 @@ impl Sequential {
     /// that produced the tensor has already cached its own pre-hook
     /// values, so this models a transient upset on the wire between
     /// layers, not a persistent memory corruption.
-    pub fn forward_hooked(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > self.len()`.
+    pub fn forward_from(
         &mut self,
+        start: usize,
         input: &Tensor,
         mode: Mode,
-        hook: &mut dyn FnMut(usize, &'static str, &mut Tensor),
+        mut hook: Option<ForwardHook<'_>>,
     ) -> Tensor {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
+        let Some((first, rest)) = self.layers[start..].split_first_mut() else {
             return input.clone();
         };
         let mut x = first.forward(input, mode);
-        hook(0, first.name(), &mut x);
+        if let Some(hook) = hook.as_mut() {
+            hook(start, first.name(), &mut x);
+        }
         for (i, layer) in rest.iter_mut().enumerate() {
             let mut y = layer.forward(&x, mode);
-            hook(i + 1, layer.name(), &mut y);
+            if let Some(hook) = hook.as_mut() {
+                hook(start + 1 + i, layer.name(), &mut y);
+            }
             self.scratch.recycle(std::mem::replace(&mut x, y));
         }
         x
+    }
+
+    /// How a change confined to output channel `channel` of layer `layer`
+    /// replays: through the channel-local run after `layer` when the
+    /// layer is [`Channels::Mixed`], else as the suffix from `layer`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range.
+    pub(crate) fn replay_for(&self, layer: usize, channel: usize) -> Replay {
+        assert!(layer < self.layers.len(), "layer {layer} out of range");
+        if self.layers[layer].channels() != Channels::Mixed {
+            return Replay::Suffix { layer };
+        }
+        let end = (layer + 1..self.layers.len())
+            .find(|&l| self.layers[l].channels() != Channels::Local)
+            .unwrap_or(self.layers.len());
+        Replay::Channel {
+            layer,
+            channel,
+            end,
+        }
+    }
+
+    /// Evaluation-mode replay of one batch: `input` is the clean
+    /// activation entering `replay.layer()`, and `clean_end` the clean
+    /// activation entering a [`Replay::Channel`]'s `end` (ignored for a
+    /// suffix). Returns the network output, bit for bit what
+    /// [`Layer::forward`] gives on the faulted network when the fault
+    /// lies where `replay` says.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel replay has no `clean_end`.
+    pub(crate) fn replay(
+        &mut self,
+        replay: Replay,
+        input: &Tensor,
+        clean_end: Option<&Tensor>,
+    ) -> Tensor {
+        let (layer, channel, end) = match replay {
+            Replay::Suffix { layer } => return self.forward_from(layer, input, Mode::Eval, None),
+            Replay::Channel {
+                layer,
+                channel,
+                end,
+            } => (layer, channel, end),
+        };
+        let clean = clean_end.expect("a channel replay needs the clean run-end activation");
+        let mut plane = self.layers[layer].forward_channel(input, channel);
+        for next in &mut self.layers[layer + 1..end] {
+            let y = next.forward_channel(&plane, channel);
+            self.scratch.recycle(std::mem::replace(&mut plane, y));
+        }
+        // Patch the recomputed channel into a copy of the clean run end.
+        let mut patched = self.scratch.tensor_uninit(clean.shape().dims());
+        patched.data_mut().copy_from_slice(clean.data());
+        let dims = clean.shape().dims();
+        let (n, c) = (dims[0], dims[1]);
+        let len = plane.numel() / n;
+        for (s, src) in plane.data().chunks(len).enumerate() {
+            let at = (s * c + channel) * len;
+            patched.data_mut()[at..at + len].copy_from_slice(src);
+        }
+        self.scratch.recycle(plane);
+        if end == self.layers.len() {
+            return patched;
+        }
+        let out = self.forward_from(end, &patched, Mode::Eval, None);
+        self.scratch.recycle(patched);
+        out
+    }
+
+    /// The scratch arena activations are recycled into.
+    pub(crate) fn scratch(&self) -> &ScratchHandle {
+        &self.scratch
     }
 }
 
@@ -112,15 +204,7 @@ impl std::fmt::Debug for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return input.clone();
-        };
-        let mut x = first.forward(input, mode);
-        for layer in rest {
-            let y = layer.forward(&x, mode);
-            self.scratch.recycle(std::mem::replace(&mut x, y));
-        }
-        x
+        self.forward_from(0, input, mode, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -206,6 +290,51 @@ mod tests {
                 / (2.0 * eps);
             assert!((num - gx.data()[i]).abs() < 2e-2, "x[{i}]");
         }
+    }
+
+    #[test]
+    fn forward_from_continues_a_forward_and_hooks_absolute_positions() {
+        use crate::layers::{Conv2d, Flatten, MaxPool2d};
+        use tdfm_tensor::ops::Conv2dSpec;
+        let mut rng = Rng::seed_from(4);
+        let mut seq = Sequential::new()
+            .push(Conv2d::new(1, 2, 3, Conv2dSpec::same(3), &mut rng))
+            .push(ReLU::new())
+            .push(MaxPool2d::new(2, 2))
+            .push(Flatten::new())
+            .push(Dense::new(8, 3, &mut rng));
+        let x = Tensor::randn(&[2, 1, 4, 4], 1.0, &mut rng);
+        let full = seq.forward(&x, Mode::Eval);
+        let mut seen = Vec::new();
+        let mut at_two = None;
+        let mut hook = |i: usize, name: &'static str, t: &mut Tensor| {
+            seen.push((i, name));
+            if i == 1 {
+                at_two = Some(t.clone());
+            }
+        };
+        assert_eq!(seq.forward_from(0, &x, Mode::Eval, Some(&mut hook)), full);
+        let mid = at_two.expect("hook saw layer 1");
+        let mut tail = Vec::new();
+        let mut hook = |i: usize, _: &'static str, _: &mut Tensor| tail.push(i);
+        assert_eq!(seq.forward_from(2, &mid, Mode::Eval, Some(&mut hook)), full);
+        assert_eq!(seen.len(), 5);
+        assert_eq!(seen[4], (4, "Dense"));
+        assert_eq!(tail, vec![2, 3, 4]);
+        assert_eq!(seq.forward_from(5, &mid, Mode::Eval, None), mid);
+
+        // A conv's channel runs through ReLU and the pool; others replay
+        // their suffix.
+        assert_eq!(
+            seq.replay_for(0, 1),
+            Replay::Channel {
+                layer: 0,
+                channel: 1,
+                end: 3
+            }
+        );
+        assert_eq!(seq.replay_for(1, 1), Replay::Suffix { layer: 1 });
+        assert_eq!(seq.replay_for(4, 0), Replay::Suffix { layer: 4 });
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! * [`optim`] — SGD with momentum/weight decay and Adam.
 //! * [`models`] — the seven-model zoo of Table III (ConvNet, DeconvNet,
 //!   VGG11, VGG16, ResNet18, ResNet50, MobileNet) as width-scaled analogues.
+//! * [`replay`] — prefix-reuse evaluation: score a weight fault by
+//!   re-running only the layers (and channels) it can change.
 //! * [`trainer`] — a mini-batch training loop with wall-clock accounting
 //!   (needed by the paper's Section IV-E overhead study).
 //!
@@ -49,8 +51,10 @@ pub mod loss;
 pub mod models;
 pub mod network;
 pub mod optim;
+pub mod replay;
 pub mod serialize;
 pub mod trainer;
 
-pub use layer::{Layer, Mode, Param};
+pub use layer::{Channels, Layer, Mode, Param};
 pub use network::{ActivationHook, Network};
+pub use replay::{PrefixCache, Replay};

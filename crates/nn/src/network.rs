@@ -2,8 +2,9 @@
 
 use crate::layer::{Layer, Mode, Param};
 use crate::layers::Sequential;
+use crate::replay::rows_of;
 use tdfm_tensor::ops::argmax_rows;
-use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
+use tdfm_tensor::{ScratchHandle, Tensor};
 
 /// Hook invoked after each top-level layer produces its forward output.
 ///
@@ -57,10 +58,8 @@ impl Network {
     /// When an activation hook is installed it fires after every top-level
     /// layer, in training and evaluation mode alike.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        match self.activation_hook.as_mut() {
-            Some(hook) => self.body.forward_hooked(input, mode, hook),
-            None => self.body.forward(input, mode),
-        }
+        let hook = self.activation_hook.as_mut().map(|h| h.as_mut() as _);
+        self.body.forward_from(0, input, mode, hook)
     }
 
     /// Installs an activation-fault hook (replacing any previous one).
@@ -92,6 +91,16 @@ impl Network {
     /// [`Sequential::layer_param_counts`]).
     pub fn layer_param_counts(&mut self) -> Vec<usize> {
         self.body.layer_param_counts()
+    }
+
+    /// The layer stack.
+    pub(crate) fn body(&self) -> &Sequential {
+        &self.body
+    }
+
+    /// The layer stack, mutably.
+    pub(crate) fn body_mut(&mut self) -> &mut Sequential {
+        &mut self.body
     }
 
     /// Backpropagates a logits gradient, accumulating parameter gradients.
@@ -140,24 +149,21 @@ impl Network {
     pub fn logits(&mut self, inputs: &Tensor, batch: usize) -> Tensor {
         assert!(batch > 0, "batch size must be positive");
         let n = inputs.shape().dim(0);
-        let scratch = Scratch::shared();
         let mut out = Tensor::zeros(&[n, self.classes]);
         let mut start = 0;
         while start < n {
             let end = (start + batch).min(n);
-            let chunk = inputs.slice_rows(start, end);
-            let logits = match self.activation_hook.as_mut() {
-                Some(hook) => self.body.forward_hooked(&chunk, Mode::Eval, hook),
-                None => self.body.forward(&chunk, Mode::Eval),
-            };
+            let chunk = rows_of(self, inputs, start, end);
+            let hook = self.activation_hook.as_mut().map(|h| h.as_mut() as _);
+            let logits = self.body.forward_from(0, &chunk, Mode::Eval, hook);
             assert_eq!(
                 logits.shape().dims(),
                 &[end - start, self.classes],
                 "network produced wrong logits shape"
             );
             out.data_mut()[start * self.classes..end * self.classes].copy_from_slice(logits.data());
-            scratch.recycle(chunk);
-            scratch.recycle(logits);
+            self.body.scratch().recycle(chunk);
+            self.body.scratch().recycle(logits);
             start = end;
         }
         out

@@ -6,7 +6,8 @@
 //! training passes (forward + backward) through a conv → relu → max-pool →
 //! flatten → dense stack; the other drives the evaluation-mode forward
 //! pass that fault-injection campaigns repeat per trial, over a stack of
-//! convolutions.
+//! convolutions; the third drives the prefix-reuse replays an exhaustive
+//! weight campaign scores each trial with.
 //!
 //! The tests pin the thread count to 1 so the parallel helpers take their
 //! inline (allocation-free) serial path, and each uses a private scratch
@@ -25,6 +26,7 @@ use std::sync::{Arc, Mutex};
 
 use tdfm_nn::layer::{Layer, Mode};
 use tdfm_nn::layers::{Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sequential};
+use tdfm_nn::{Network, Replay};
 use tdfm_obs::memory;
 use tdfm_tensor::ops::Conv2dSpec;
 use tdfm_tensor::rng::Rng;
@@ -165,5 +167,52 @@ fn steady_state_eval_conv_forward_does_not_allocate() {
     assert_eq!(
         allocs, 0,
         "steady-state evaluation forward passes performed {allocs} heap allocations"
+    );
+}
+
+#[test]
+fn steady_state_fault_replays_do_not_allocate() {
+    parallel::set_num_threads(1);
+
+    let mut rng = Rng::seed_from(0x9E91);
+    let arena = Arc::new(Scratch::new());
+    let body = Sequential::new()
+        .push(Conv2d::new(3, 4, 3, Conv2dSpec::same(3), &mut rng))
+        .push(ReLU::new())
+        .push(MaxPool2d::new(2, 2))
+        .push(Conv2d::new(4, 8, 3, Conv2dSpec::same(3), &mut rng))
+        .push(ReLU::new())
+        .push(Flatten::new())
+        .push(Dense::new(8 * 4 * 4, 5, &mut rng));
+    let mut net = Network::new("replay", 5, body);
+    net.bind_scratch(&arena);
+
+    // Seven images in batches of three: two full batches and a partial.
+    let x = Tensor::randn(&[7, 3, 8, 8], 1.0, &mut rng);
+    let replays = [
+        net.replay_for(0, 2),        // conv → ReLU → pool, then the suffix
+        net.replay_for(3, 5),        // conv → ReLU, then the classifier
+        net.replay_for(6, 0),        // the classifier alone
+        net.replay_for(1, 0),        // from the first ReLU on
+        Replay::Suffix { layer: 0 }, // the full forward
+    ];
+    let cache = net.prefix_cache(&x, 3, &replays);
+    let mut logits = Tensor::zeros(&[7, 5]);
+    for _ in 0..3 {
+        for &replay in &replays {
+            net.replay_logits(&x, &cache, replay, &mut logits);
+        }
+    }
+
+    let allocs = allocations_in(|| {
+        for _ in 0..2 {
+            for &replay in &replays {
+                net.replay_logits(&x, &cache, replay, &mut logits);
+            }
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state fault replays performed {allocs} heap allocations"
     );
 }

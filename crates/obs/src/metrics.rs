@@ -39,6 +39,12 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the count to at least `n` — a high-water mark (peak bytes,
+    /// say) that stays monotonic like every other count.
+    pub fn raise_to(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
+    }
+
     /// Current count.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -364,6 +370,16 @@ mod tests {
         reg.counter("a").add(4);
         assert_eq!(reg.counter("a").get(), 5);
         assert_eq!(reg.counter("b").get(), 0);
+    }
+
+    #[test]
+    fn raise_to_keeps_the_high_water_mark() {
+        let c = Counter::new();
+        c.raise_to(7);
+        c.raise_to(3);
+        assert_eq!(c.get(), 7);
+        c.raise_to(9);
+        assert_eq!(c.get(), 9);
     }
 
     #[test]

@@ -17,8 +17,12 @@
 //! products, see [`use_packed`]) still runs im2col, and the input
 //! gradient still folds back through [`col2im`].
 //!
+//! [`conv2d_channel_with`] computes one output channel on its own, bit for
+//! bit as the full forward computes it — the kernel channel-sparse fault
+//! replay runs when a fault can only have changed that channel.
+//!
 //! All temporaries (gather plans, im2col columns, packed GEMM panels,
-//! per-worker gradient accumulators) come from a [`Scratch`] arena, so
+//! padded planes) come from a [`Scratch`] arena, so
 //! steady-state training reuses the same buffers batch after batch. 1×1
 //! stride-1 unpadded convolutions skip im2col and the gather entirely —
 //! the column matrix would be an exact copy of the input.
@@ -27,7 +31,7 @@ use super::gemm::{
     gemm_direct, gemm_direct_abt, gemm_direct_atb, gemm_packed_block, pack_b, pack_bt, packed_len,
     transpose_into, use_packed, NR,
 };
-use crate::parallel::{parallel_chunks_mut, parallel_map_reduce};
+use crate::parallel::parallel_chunks_mut;
 use crate::scratch::{Scratch, ScratchBufU32};
 use crate::Tensor;
 use tdfm_obs::OpTimer;
@@ -483,12 +487,103 @@ pub fn conv2d_forward_with(
     out
 }
 
+/// Output channel `channel` of [`conv2d_forward_with`], alone: `[N, 1, OH, OW]`.
+///
+/// Bit for bit what the full forward writes into that channel, at every
+/// SIMD level. Each output element accumulates `weight · input` over the
+/// channel's `C/groups · KH · KW` taps in ascending order, from `+0.0`,
+/// with a separate multiply and add, then adds the bias — the order every
+/// GEMM path of the full forward uses. Padding taps are multiplied as
+/// `0.0`, never skipped: an infinite weight against padding gives NaN
+/// there exactly as it does in the full forward, and `-0.0 + 0.0` rounds
+/// the same way.
+///
+/// Costs `1/O` of the full forward's multiply-adds. The group's input is
+/// copied once into zero-padded planes. At stride 1 each tap is then one
+/// vector `axpy` per sample over the padded planes: the accumulator rows
+/// are `W + 2·pad` wide, and their tail columns (which wrap into the next
+/// row) are computed and dropped.
+///
+/// # Panics
+///
+/// Panics on any shape inconsistency (see [`Conv2dSpec`]) or if `channel`
+/// is not an output channel of `weight`.
+pub fn conv2d_channel_with(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    channel: usize,
+    scratch: &Scratch,
+) -> Tensor {
+    let _t = OpTimer::start("conv2d_channel");
+    let d = check_dims(input, weight, spec);
+    assert!(channel < d.o, "channel {channel} out of range ({})", d.o);
+    let bias = bias.map(|b| {
+        assert_eq!(b.shape().dims(), &[d.o], "bias must be [out_channels]");
+        b.data()[channel]
+    });
+    let kdim = d.cg * d.kh * d.kw;
+    let taps = &weight.data()[channel * kdim..(channel + 1) * kdim];
+    let (hp, wp) = (d.h + 2 * spec.pad, d.w + 2 * spec.pad);
+    let sample_padded = d.cg * hp * wp;
+    let mut padded = scratch.take_zeroed(d.n * sample_padded);
+    let group_start = channel / d.og * d.cg;
+    for (s, dst) in padded.chunks_mut(sample_padded).enumerate() {
+        let planes = &input.data()[(s * d.c + group_start) * d.h * d.w..][..d.cg * d.h * d.w];
+        for (r, row) in planes.chunks(d.w).enumerate() {
+            let at = ((r / d.h) * hp + r % d.h + spec.pad) * wp + spec.pad;
+            dst[at..at + d.w].copy_from_slice(row);
+        }
+    }
+    let padded = &padded[..];
+    // Accumulator rows are `wp` wide at stride 1 (see above), `ow` else.
+    let (row_len, span) = if spec.stride == 1 {
+        (wp, (d.oh - 1) * wp + d.ow)
+    } else {
+        (d.ow, d.oh * d.ow)
+    };
+    let mut out = scratch.tensor_uninit(&[d.n, 1, d.oh, d.ow]);
+    parallel_chunks_mut(out.data_mut(), d.oh * d.ow, kdim, |s, y| {
+        let x = &padded[s * sample_padded..(s + 1) * sample_padded];
+        let mut acc = scratch.take_zeroed(span);
+        let mut taps = taps.iter();
+        for c in 0..d.cg {
+            for ki in 0..d.kh {
+                for kj in 0..d.kw {
+                    let wv = *taps.next().expect("one tap per (c, ki, kj)");
+                    let base = (c * hp + ki) * wp + kj;
+                    if spec.stride == 1 {
+                        crate::simd::axpy(wv, &x[base..base + span], &mut acc);
+                        continue;
+                    }
+                    for (oi, acc_row) in acc.chunks_mut(d.ow).enumerate() {
+                        let src = &x[base + oi * spec.stride * wp..];
+                        for (oj, a) in acc_row.iter_mut().enumerate() {
+                            *a += wv * src[oj * spec.stride];
+                        }
+                    }
+                }
+            }
+        }
+        for (oi, y_row) in y.chunks_mut(d.ow).enumerate() {
+            y_row.copy_from_slice(&acc[oi * row_len..oi * row_len + d.ow]);
+        }
+        if let Some(b) = bias {
+            crate::simd::add_scalar(y, b);
+        }
+    });
+    out
+}
+
 /// Convolution backward pass.
 ///
 /// Given the forward inputs and the gradient w.r.t. the output, computes the
-/// gradients w.r.t. input, weights and bias. Weight/bias gradients are
-/// accumulated per worker and reduced. Uses the process-shared scratch
-/// arena; see [`conv2d_backward_with`].
+/// gradients w.r.t. input, weights and bias. The input gradient runs one
+/// sample per task; weight/bias gradients accumulate over the samples in
+/// ascending order on the calling thread, so they are bit-identical at
+/// every thread count. Uses the process-shared scratch arena; see
+/// [`conv2d_backward_with`].
 ///
 /// # Panics
 ///
@@ -585,76 +680,60 @@ pub fn conv2d_backward_with(
         }
     });
 
-    // Weight and bias gradients: map-reduce over samples. Each worker
-    // accumulates into pooled buffers; the reduced sums are copied into
-    // pooled tensors at the end (both sides of the copy reuse warm arena
-    // buffers, so steady state stays allocation-free).
+    // Weight and bias gradients: one walk over the samples in ascending
+    // order, accumulating straight into the pooled result tensors. A
+    // per-worker split would sum partials whose boundaries depend on the
+    // thread count, and f32 addition is not associative: results would
+    // change with `TDFM_THREADS`.
     let weight_packed = use_packed(d.og, ohow, kdim);
     let group_in = d.cg * d.h * d.w;
     let plan = (!pointwise && weight_packed).then(|| gather_plan(&d, spec, true, scratch));
     let plan = plan.as_deref();
-    let per_sample_work = d.o * ohow * kdim;
-    let reduced = parallel_map_reduce(
-        d.n,
-        per_sample_work,
-        |range| {
-            let mut gw = scratch.take_zeroed(d.o * kdim);
-            let mut gb = scratch.take_zeroed(d.o);
-            let mut gather_bufs = plan.map(|p| (scratch.take(group_in + 1), scratch.take(p.len())));
-            let mut col = (!pointwise && plan.is_none()).then(|| scratch.take(kdim * ohow));
-            for s in range {
-                let xin = &x[s * sample_in..(s + 1) * sample_in];
-                let gys = &gy[s * sample_out..(s + 1) * sample_out];
-                for g in 0..spec.groups {
-                    let xin_g = &xin[g * group_in..(g + 1) * group_in];
-                    let gy_g = &gys[g * d.og * ohow..(g + 1) * d.og * ohow];
-                    let gw_g = &mut gw[g * d.og * kdim..(g + 1) * d.og * kdim];
-                    // gw_g[og, kdim] += gy_g[og, ohow] · colsᵀ[ohow, kdim]
-                    if let (Some(plan), Some((xz, packed))) = (plan, gather_bufs.as_mut()) {
-                        gather_panels(plan, xin_g, xz, packed);
-                        gemm_packed_block(gy_g, d.og, ohow, kdim, packed, gw_g, true);
-                        continue;
-                    }
-                    let cols: &[f32] = match col.as_mut() {
-                        None => xin_g,
-                        Some(col) => {
-                            im2col(
-                                xin_g,
-                                (d.cg, d.h, d.w),
-                                (d.kh, d.kw),
-                                spec.stride,
-                                spec.pad,
-                                col,
-                            );
-                            col
-                        }
-                    };
-                    if weight_packed {
-                        let mut packed = scratch.take(packed_len(ohow, kdim));
-                        pack_bt(cols, kdim, ohow, &mut packed);
-                        gemm_packed_block(gy_g, d.og, ohow, kdim, &packed, gw_g, true);
-                    } else {
-                        gemm_direct_abt(gy_g, cols, d.og, ohow, kdim, gw_g, true);
-                    }
-                }
-                for (oc, plane) in gys.chunks(ohow).enumerate() {
-                    gb[oc] += plane.iter().sum::<f32>();
-                }
+    let mut grad_weight = scratch.tensor_zeroed(weight.shape().dims());
+    let mut grad_bias = scratch.tensor_zeroed(&[d.o]);
+    let gw = grad_weight.data_mut();
+    let gb = grad_bias.data_mut();
+    let mut gather_bufs = plan.map(|p| (scratch.take(group_in + 1), scratch.take(p.len())));
+    let mut col = (!pointwise && plan.is_none()).then(|| scratch.take(kdim * ohow));
+    for s in 0..d.n {
+        let xin = &x[s * sample_in..(s + 1) * sample_in];
+        let gys = &gy[s * sample_out..(s + 1) * sample_out];
+        for g in 0..spec.groups {
+            let xin_g = &xin[g * group_in..(g + 1) * group_in];
+            let gy_g = &gys[g * d.og * ohow..(g + 1) * d.og * ohow];
+            let gw_g = &mut gw[g * d.og * kdim..(g + 1) * d.og * kdim];
+            // gw_g[og, kdim] += gy_g[og, ohow] · colsᵀ[ohow, kdim]
+            if let (Some(plan), Some((xz, packed))) = (plan, gather_bufs.as_mut()) {
+                gather_panels(plan, xin_g, xz, packed);
+                gemm_packed_block(gy_g, d.og, ohow, kdim, packed, gw_g, true);
+                continue;
             }
-            (gw, gb)
-        },
-        |(mut gw_a, mut gb_a), (gw_b, gb_b)| {
-            crate::simd::add_assign(&mut gw_a, &gw_b);
-            crate::simd::add_assign(&mut gb_a, &gb_b);
-            (gw_a, gb_a)
-        },
-    )
-    .expect("batch dimension is non-zero");
-
-    let mut grad_weight = scratch.tensor_uninit(weight.shape().dims());
-    grad_weight.data_mut().copy_from_slice(&reduced.0);
-    let mut grad_bias = scratch.tensor_uninit(&[d.o]);
-    grad_bias.data_mut().copy_from_slice(&reduced.1);
+            let cols: &[f32] = match col.as_mut() {
+                None => xin_g,
+                Some(col) => {
+                    im2col(
+                        xin_g,
+                        (d.cg, d.h, d.w),
+                        (d.kh, d.kw),
+                        spec.stride,
+                        spec.pad,
+                        col,
+                    );
+                    col
+                }
+            };
+            if weight_packed {
+                let mut packed = scratch.take(packed_len(ohow, kdim));
+                pack_bt(cols, kdim, ohow, &mut packed);
+                gemm_packed_block(gy_g, d.og, ohow, kdim, &packed, gw_g, true);
+            } else {
+                gemm_direct_abt(gy_g, cols, d.og, ohow, kdim, gw_g, true);
+            }
+        }
+        for (oc, plane) in gys.chunks(ohow).enumerate() {
+            gb[oc] += plane.iter().sum::<f32>();
+        }
+    }
     ConvGrads {
         grad_input,
         grad_weight,

@@ -11,8 +11,8 @@ mod pool;
 mod reduce;
 
 pub use conv::{
-    col2im, conv2d_backward, conv2d_backward_with, conv2d_forward, conv2d_forward_with,
-    conv_out_dim, im2col, Conv2dSpec, ConvGrads,
+    col2im, conv2d_backward, conv2d_backward_with, conv2d_channel_with, conv2d_forward,
+    conv2d_forward_with, conv_out_dim, im2col, Conv2dSpec, ConvGrads,
 };
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_with, matmul_at_b, matmul_at_b_with, matmul_with,

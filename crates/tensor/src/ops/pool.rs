@@ -5,7 +5,7 @@
 //! (global) average pooling.
 
 use crate::ops::conv_out_dim;
-use crate::parallel::parallel_chunks_mut;
+use crate::parallel::{parallel_chunks2_mut, parallel_chunks_mut};
 use crate::scratch::Scratch;
 use crate::Tensor;
 
@@ -40,9 +40,15 @@ pub fn max_pool2d_forward(input: &Tensor, k: usize, s: usize) -> (Tensor, MaxPoo
 /// [`max_pool2d_forward`] drawing the output and index buffers from
 /// `scratch`.
 ///
-/// The argmax pass runs first (one `(sample, channel)` plane per task),
-/// then the values are gathered through the winning indices — the two
-/// passes replace a locked per-plane copy and allocate nothing.
+/// One pass per `(sample, channel)` plane finds each window's winner and
+/// writes its value and index together. Each window starts from its own
+/// first element, so a window of all `-∞` yields `-∞` (and routes its
+/// gradient inside the window). A later element wins only when it is
+/// strictly greater or NaN, as a branch-free select: ties keep the first
+/// occurrence, and a NaN wins the window and then sticks (nothing
+/// compares greater than NaN), matching the reference frameworks instead
+/// of silently dropping the poisoned lane. The 2×2/stride-2 window every
+/// architecture uses is compiled with its geometry as constants.
 ///
 /// # Panics
 ///
@@ -67,41 +73,21 @@ pub fn max_pool2d_forward_with(
     let x = input.data();
     let plane_in = h * w;
     let plane_out = oh * ow;
-    parallel_chunks_mut(&mut argmax, plane_out, k * k, |p, arg| {
-        let plane = &x[p * plane_in..(p + 1) * plane_in];
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
-                for ki in 0..k {
-                    for kj in 0..k {
-                        let idx = (oi * s + ki) * w + (oj * s + kj);
-                        let v = plane[idx];
-                        // A NaN wins the window and then sticks (nothing
-                        // compares greater than NaN), matching the
-                        // reference frameworks instead of silently
-                        // dropping the poisoned lane. Finite-only windows
-                        // are untouched.
-                        if v > best || v.is_nan() {
-                            best = v;
-                            best_idx = idx;
-                        }
-                    }
-                }
-                arg[oi * ow + oj] = best_idx as u32;
-            }
-        }
-    });
-    {
-        let arg = &argmax[..];
-        parallel_chunks_mut(out.data_mut(), plane_out, 1, |p, y| {
+    parallel_chunks2_mut(
+        out.data_mut(),
+        plane_out,
+        &mut argmax,
+        plane_out,
+        k * k,
+        |p, y, arg| {
             let plane = &x[p * plane_in..(p + 1) * plane_in];
-            let arg_plane = &arg[p * plane_out..(p + 1) * plane_out];
-            for (o, &idx) in y.iter_mut().zip(arg_plane) {
-                *o = plane[idx as usize];
+            if (k, s) == (2, 2) {
+                max_pool_plane::<2, 2>(plane, w, (2, 2, ow), y, arg);
+            } else {
+                max_pool_plane::<0, 0>(plane, w, (k, s, ow), y, arg);
             }
-        });
-    }
+        },
+    );
     (
         out,
         MaxPoolCache {
@@ -109,6 +95,44 @@ pub fn max_pool2d_forward_with(
             input_dims: [n, c, h, w],
         },
     )
+}
+
+/// Max-pools one plane of width `w` into `y` (values) and `arg` (winning
+/// plane indices), both `oh·ow` long. `K`/`S` are the window and stride
+/// when known at compile time; `0` takes them from `k`/`s` instead.
+fn max_pool_plane<const K: usize, const S: usize>(
+    plane: &[f32],
+    w: usize,
+    (k, s, ow): (usize, usize, usize),
+    y: &mut [f32],
+    arg: &mut [u32],
+) {
+    let k = if K > 0 { K } else { k };
+    let s = if S > 0 { S } else { s };
+    for (oi, (y_row, arg_row)) in y
+        .chunks_exact_mut(ow)
+        .zip(arg.chunks_exact_mut(ow))
+        .enumerate()
+    {
+        // The k input rows this output row reads.
+        let top = oi * s * w;
+        let rows = &plane[top..top + (k - 1) * w + (ow - 1) * s + k];
+        for (oj, (yv, av)) in y_row.iter_mut().zip(arg_row.iter_mut()).enumerate() {
+            let first = oj * s;
+            let (mut best, mut best_idx) = (rows[first], first);
+            for ki in 0..k {
+                for kj in 0..k {
+                    let idx = first + ki * w + kj;
+                    let v = rows[idx];
+                    let take = (v > best) | v.is_nan();
+                    best = if take { v } else { best };
+                    best_idx = if take { idx } else { best_idx };
+                }
+            }
+            *yv = best;
+            *av = (top + best_idx) as u32;
+        }
+    }
 }
 
 /// Routes output gradients back to the winning input positions.
@@ -409,6 +433,69 @@ mod tests {
         let x3 = Tensor::from_vec(vec![1.0, 3.0, 0.5, -2.0], &[1, 1, 2, 2]);
         let (y3, _) = max_pool2d_forward(&x3, 2, 2);
         assert_eq!(y3.data()[0], 3.0);
+    }
+
+    #[test]
+    fn max_pool_all_neg_infinity_window_stays_in_its_window() {
+        // The right-hand window is all -∞: it must pool to -∞ and route
+        // its gradient to its own first element, not to plane[0].
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(
+            vec![5.0, 1.0, ninf, ninf, 2.0, 3.0, ninf, ninf],
+            &[1, 1, 2, 4],
+        );
+        let (y, cache) = max_pool2d_forward(&x, 2, 2);
+        assert_eq!(y.data(), &[5.0, ninf]);
+        let gx = max_pool2d_backward(&Tensor::from_vec(vec![1.0, 10.0], &[1, 1, 1, 2]), &cache);
+        assert_eq!(gx.data(), &[1.0, 0.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        // The runtime-window path agrees (3×3 window, stride 1).
+        let x = Tensor::from_vec(vec![ninf; 9], &[1, 1, 3, 3]);
+        let (y, cache) = max_pool2d_forward(&x, 3, 1);
+        assert_eq!(y.data(), &[ninf]);
+        assert_eq!(cache.argmax, vec![0]);
+    }
+
+    #[test]
+    fn max_pool_keeps_first_of_ties_and_last_nan() {
+        // Ties keep the first occurrence; the last NaN of a window wins.
+        let x = Tensor::from_vec(vec![2.0, 2.0, 1.0, 2.0], &[1, 1, 2, 2]);
+        let (_, cache) = max_pool2d_forward(&x, 2, 2);
+        assert_eq!(cache.argmax, vec![0]);
+        let x = Tensor::from_vec(vec![f32::NAN, 1.0, 9.0, f32::NAN], &[1, 1, 2, 2]);
+        let (y, cache) = max_pool2d_forward(&x, 2, 2);
+        assert!(y.data()[0].is_nan());
+        assert_eq!(cache.argmax, vec![3]);
+    }
+
+    #[test]
+    fn max_pool_fixed_and_runtime_windows_agree() {
+        // The const-generic 2×2/stride-2 body and the runtime body are
+        // the same algorithm; pin them against each other bit for bit.
+        let mut rng = Rng::seed_from(9);
+        let mut x = Tensor::randn(&[3, 2, 6, 5], 1.0, &mut rng);
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            match i % 13 {
+                0 => *v = f32::NAN,
+                5 => *v = f32::NEG_INFINITY,
+                9 => *v = f32::INFINITY,
+                _ => {}
+            }
+        }
+        let (fixed, fixed_cache) = max_pool2d_forward(&x, 2, 2);
+        let (h, w) = (6, 5);
+        let mut y = vec![0.0f32; 3 * 2];
+        let mut arg = vec![0u32; 3 * 2];
+        for p in 0..6 {
+            let plane = &x.data()[p * h * w..(p + 1) * h * w];
+            max_pool_plane::<0, 0>(plane, w, (2, 2, 2), &mut y, &mut arg);
+            let (ys, args) = (
+                &fixed.data()[p * 6..(p + 1) * 6],
+                &fixed_cache.argmax[p * 6..(p + 1) * 6],
+            );
+            assert_eq!(args, &arg[..]);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ys), bits(&y));
+        }
     }
 
     #[test]

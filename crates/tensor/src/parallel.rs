@@ -193,16 +193,44 @@ pub fn parallel_chunks_mut<T: Send>(
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     assert!(chunk > 0, "chunk size must be positive");
-    let threads = num_threads();
     let total_work = data.len().saturating_mul(work_per_item.max(1));
+    let pieces = data.chunks_mut(chunk).enumerate();
+    run_pieces(total_work, pieces, |(i, piece)| f(i, piece));
+}
+
+/// [`parallel_chunks_mut`] over two buffers split in lockstep: piece `i`
+/// of `a` (`chunk_a` long) and piece `i` of `b` (`chunk_b` long) go to the
+/// same `f(i, a_piece, b_piece)` call. Kernels that write two outputs per
+/// task (max pooling's values and winning indices) use it; `work_per_item`
+/// counts per element of `a`.
+///
+/// # Panics
+///
+/// Panics if either chunk size is zero.
+pub(crate) fn parallel_chunks2_mut<A: Send, B: Send>(
+    a: &mut [A],
+    chunk_a: usize,
+    b: &mut [B],
+    chunk_b: usize,
+    work_per_item: usize,
+    f: impl Fn(usize, &mut [A], &mut [B]) + Sync,
+) {
+    assert!(chunk_a > 0 && chunk_b > 0, "chunk size must be positive");
+    let total_work = a.len().saturating_mul(work_per_item.max(1));
+    let pieces = a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate();
+    run_pieces(total_work, pieces, |(i, (pa, pb))| f(i, pa, pb));
+}
+
+/// Runs `f` on every piece: inline below [`SERIAL_THRESHOLD`] or with one
+/// thread, else from a shared queue drained by the worker threads.
+fn run_pieces<P: Send>(total_work: usize, pieces: impl Iterator<Item = P>, f: impl Fn(P) + Sync) {
+    let threads = num_threads();
     if threads <= 1 || total_work < SERIAL_THRESHOLD {
-        for (i, piece) in data.chunks_mut(chunk).enumerate() {
-            f(i, piece);
-        }
+        pieces.for_each(f);
         return;
     }
     // tdfm-lint: allow(hot-path-alloc, per-region fan-out work list: O(chunks) entries built once, not per element)
-    let pieces: Vec<(usize, &mut [T])> = data.chunks_mut(chunk).enumerate().collect();
+    let pieces: Vec<P> = pieces.collect();
     let pieces = Mutex::new(pieces);
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -211,48 +239,12 @@ pub fn parallel_chunks_mut<T: Send>(
             scope.spawn(move || loop {
                 let item = pieces.lock().expect("queue lock poisoned").pop();
                 match item {
-                    Some((idx, piece)) => f(idx, piece),
+                    Some(piece) => f(piece),
                     None => break,
                 }
             });
         }
     });
-}
-
-/// Maps `0..n` in parallel and folds the per-range results with `reduce`.
-///
-/// Used by convolution backward passes: each worker accumulates a private
-/// weight-gradient buffer, and the buffers are summed at the end.
-pub fn parallel_map_reduce<T: Send>(
-    n: usize,
-    work_per_item: usize,
-    map: impl Fn(Range<usize>) -> T + Sync,
-    reduce: impl Fn(T, T) -> T,
-) -> Option<T> {
-    if n == 0 {
-        return None;
-    }
-    let threads = num_threads();
-    if threads <= 1 || n.saturating_mul(work_per_item.max(1)) < SERIAL_THRESHOLD || n < 2 {
-        return Some(map(0..n));
-    }
-    let ranges = split_ranges(n, threads);
-    let results: Vec<T> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let map = &map;
-                scope.spawn(move || map(range))
-            })
-            // tdfm-lint: allow(hot-path-alloc, O(threads) handle list built once per reduction)
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            // tdfm-lint: allow(hot-path-alloc, O(threads) partial results gathered once per reduction)
-            .collect()
-    });
-    results.into_iter().reduce(reduce)
 }
 
 #[cfg(test)]
@@ -308,20 +300,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_reduce_sums() {
-        let total = parallel_map_reduce(
-            100_000,
-            1,
-            |range| range.map(|x| x as u64).sum::<u64>(),
-            |a, b| a + b,
-        )
-        .unwrap();
-        assert_eq!(total, (0..100_000u64).sum::<u64>());
-    }
-
-    #[test]
-    fn parallel_map_reduce_empty_is_none() {
-        assert!(parallel_map_reduce(0, 1, |_| 1u32, |a, b| a + b).is_none());
+    fn parallel_chunks2_mut_pairs_pieces_in_lockstep() {
+        let mut a = vec![0usize; 10_000];
+        let mut b = vec![0u32; 300];
+        parallel_chunks2_mut(&mut a, 100, &mut b, 3, 10, |i, pa, pb| {
+            pa.fill(i);
+            pb.fill(i as u32);
+        });
+        for (j, &x) in a.iter().enumerate() {
+            assert_eq!(x, j / 100);
+        }
+        for (j, &x) in b.iter().enumerate() {
+            assert_eq!(x as usize, j / 3);
+        }
     }
 
     #[test]

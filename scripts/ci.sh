@@ -131,16 +131,25 @@ echo "== result drift gate: committed JSONs reproduce from their seeds =="
 # commit (code changed, results not re-recorded) fails the gate here.
 drift_dir="$smoke_dir/drift"
 mkdir -p "$drift_dir"
+# TDFM_THREADS is left unset here: the kernels' reductions (the conv
+# weight gradient included) run in a fixed order, so these reproduce at
+# whatever thread count the runner has.
 TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" ./target/release/motivating > /dev/null
 TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" ./target/release/model_faults > /dev/null
 ./target/release/tdfm diff-results results/motivating.json "$drift_dir/motivating.json"
 ./target/release/tdfm diff-results results/model_faults.json "$drift_dir/model_faults.json"
+# model_faults is cheap, so it also runs at an explicit 4-thread budget.
+TDFM_THREADS=4 TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" \
+    ./target/release/model_faults > /dev/null
+./target/release/tdfm diff-results results/model_faults.json "$drift_dir/model_faults.json"
 # The SIMD kernels claim byte-identical results against the scalar loops
 # (no FMA, no reassociation — DESIGN.md §2.1a): regenerate with the
 # vector paths forced off and hold the committed results to that too.
-TDFM_SIMD=off TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" \
-    ./target/release/motivating > /dev/null
-./target/release/tdfm diff-results results/motivating.json "$drift_dir/motivating.json"
+for bin in motivating model_faults; do
+    TDFM_SIMD=off TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" \
+        ./target/release/$bin > /dev/null
+    ./target/release/tdfm diff-results results/$bin.json "$drift_dir/$bin.json"
+done
 # The sharded trainer's fixed sorted-order reduction claims byte-identical
 # output at any thread count: regenerate at both budgets and hold it to
 # that. Separate processes per setting — TDFM_THREADS is read once per
@@ -191,5 +200,12 @@ for workload in datafault_grid seu_exhaustive sharded_byzantine; do
         --workload "$workload" --seed 0 --seconds 1 --trace 0 \
         > "$smoke_dir/campaign-$workload.txt"
 done
+# seu_exhaustive scores its exhaustive plans through the prefix-reuse
+# replays (channel kernel included); its digests must also hold on the
+# scalar path.
+TDFM_SIMD=off cargo run -q --release --offline --locked \
+    --manifest-path campaign_bench/Cargo.toml -- \
+    --workload seu_exhaustive --seed 0 --seconds 1 --trace 0 \
+    > "$smoke_dir/campaign-seu_exhaustive-simd-off.txt"
 
 echo "CI gate passed."
